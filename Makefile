@@ -20,7 +20,7 @@ BENCH_OUT ?= BENCH_CURRENT.json
 # jitter.
 MAXSLOW ?= 35
 
-.PHONY: all check build test vet lint lint-flow lint-sarif race bench bench-smoke bench-compare bench-gate bench-sweep bench-fidelity bench-profile experiments calibrate fuzz serve e2e clean
+.PHONY: all check build test vet lint lint-flow lint-sarif race bench bench-smoke bench-compare bench-gate bench-sweep bench-key bench-fidelity bench-profile experiments calibrate fuzz serve e2e clean
 
 all: check
 
@@ -90,6 +90,16 @@ bench-gate: bench
 bench-sweep:
 	$(GO) run ./cmd/benchjson -pkg ./internal/planner -bench 'BenchmarkSweep' -benchtime 3x -o BENCH_SWEEP_CURRENT.json
 	$(GO) run ./cmd/benchjson -compare -maxslow $(MAXSLOW) BENCH_PR7.json BENCH_SWEEP_CURRENT.json
+
+# Job-identity benchmark: keying a spec that names a paper workload, the
+# 90-cell warm-sweep grid expansion (5 frontends x 3 workloads x 3 budgets
+# x 2 fidelities), and the sealed warm-state snapshot size per frontend
+# (custom metric B/blob). All three are deterministic work counts, gated
+# against the checked-in BENCH_PR14.json: allocs/op and B/op may not grow
+# past 10%, B/blob may not grow at all.
+bench-key:
+	$(GO) run ./cmd/benchjson -pkg './internal/service/jobspec ./internal/planner/grid' -bench 'BenchmarkSpecKeyNamed|BenchmarkGridExpandWarmSweep|BenchmarkSnapshotBytes' -benchtime 20x -o BENCH_KEY_CURRENT.json
+	$(GO) run ./cmd/benchjson -compare BENCH_PR14.json BENCH_KEY_CURRENT.json
 
 # Fidelity-ladder benchmark: one cell (gcc, 1M uops) at full, sampled,
 # and estimate fidelity, recording effective uops/s and the deterministic

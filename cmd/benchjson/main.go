@@ -9,13 +9,15 @@
 //	benchjson -bench 'BenchmarkGenerate' -o g.json
 //	benchjson -pkg ./internal/planner -bench 'BenchmarkSweep' -o BENCH_PR7.json
 //	benchjson -in raw.txt -o old.json            # parse an existing `go test -bench` log
+//	benchjson -pkg './internal/a ./internal/b' -bench 'BenchmarkX|BenchmarkY' -o x.json
 //	benchjson -compare OLD.json NEW.json         # diff two recordings
 //
 // Compare mode prints per-benchmark deltas and exits 1 when any
-// benchmark's allocs/op grew by more than -max-alloc-regress percent
-// (default 10) or its uops/s throughput fell by more than -maxslow
-// percent (default 10), making `make bench-compare` and `make
-// bench-gate` usable CI gates.
+// benchmark's allocs/op or B/op grew by more than -max-alloc-regress
+// percent (default 10), its uops/s throughput fell by more than -maxslow
+// percent (default 10), or one of the deterministic custom metrics
+// (simcells/op, simuops/op, B/blob) grew at all, making `make
+// bench-compare` and `make bench-gate` usable CI gates.
 package main
 
 import (
@@ -49,6 +51,10 @@ type Result struct {
 	// gated the same way — the sampled rung must never quietly start
 	// simulating more of the stream.
 	SimUopsPerOp float64 `json:"simuops_per_op,omitempty"`
+	// BlobBytes is the snapshot-size benchmark's custom metric: bytes in
+	// one sealed warm-state blob. The encoding is deterministic, so any
+	// growth is gated like simuops/op.
+	BlobBytes float64 `json:"blob_bytes,omitempty"`
 }
 
 // File is the recorded benchmark set.
@@ -93,6 +99,8 @@ func parse(r io.Reader) (map[string]Result, error) {
 				res.SimCellsPerOp = v
 			case "simuops/op":
 				res.SimUopsPerOp = v
+			case "B/blob":
+				res.BlobBytes = v
 			}
 		}
 		out[name] = res
@@ -100,9 +108,11 @@ func parse(r io.Reader) (map[string]Result, error) {
 	return out, sc.Err()
 }
 
-func run(bench, benchtime, pkg string) (map[string]Result, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", bench, "-benchmem", "-benchtime", benchtime, pkg)
+// run benchmarks pkgs, a space-separated list of package patterns.
+func run(bench, benchtime, pkgs string) (map[string]Result, error) {
+	args := append([]string{"test", "-run", "^$",
+		"-bench", bench, "-benchmem", "-benchtime", benchtime}, strings.Fields(pkgs)...)
+	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
@@ -127,8 +137,9 @@ func load(path string) (*File, error) {
 }
 
 // compareFiles diffs two recordings, writing the delta table to w. It
-// returns the number of regressions past either gate — allocs/op growth
-// beyond maxAllocRegressPct or uops/s slowdown beyond maxSlowPct — and
+// returns the number of regressions past any gate — allocs/op or B/op
+// growth beyond maxAllocRegressPct, uops/s slowdown beyond maxSlowPct, or
+// growth of a deterministic custom metric — and
 // the benchmarks recorded in old but absent from new: a benchmark that
 // disappeared between runs must not silently read as a pass.
 func compareFiles(oldF, newF *File, maxAllocRegressPct, maxSlowPct float64, w io.Writer) (regressions int, missing []string, err error) {
@@ -180,6 +191,12 @@ func compareFiles(oldF, newF *File, maxAllocRegressPct, maxSlowPct float64, w io
 			pr("  ^ REGRESSION: allocs/op grew past the %.0f%% gate\n", maxAllocRegressPct)
 			regressions++
 		}
+		// Allocated bytes ride the same percentage gate as allocs/op: one
+		// large allocation can cost more than many small ones.
+		if o.BytesPerOp > 0 && nw.BytesPerOp > o.BytesPerOp*(1+maxAllocRegressPct/100) {
+			pr("  ^ REGRESSION: B/op grew past the %.0f%% gate (%.0f -> %.0f)\n", maxAllocRegressPct, o.BytesPerOp, nw.BytesPerOp)
+			regressions++
+		}
 		// Simulated-cells gate: the metric is deterministic (a plan either
 		// dedups a cell or it doesn't), so any growth at all is a planner
 		// regression — no noise margin applies.
@@ -205,6 +222,19 @@ func compareFiles(oldF, newF *File, maxAllocRegressPct, maxSlowPct float64, w io
 				regressions++
 			case nw.SimUopsPerOp > o.SimUopsPerOp:
 				pr("  ^ REGRESSION: more uops simulated in detail than the baseline\n")
+				regressions++
+			}
+		}
+		// Snapshot-size gate: the encoding is deterministic, so a blob that
+		// grows at all is a format regression.
+		if o.BlobBytes > 0 || nw.BlobBytes > 0 {
+			pr("  B/blob %.0f -> %.0f\n", o.BlobBytes, nw.BlobBytes)
+			switch {
+			case o.BlobBytes > 0 && nw.BlobBytes == 0:
+				pr("  ^ REGRESSION: B/blob metric disappeared from the new recording\n")
+				regressions++
+			case nw.BlobBytes > o.BlobBytes:
+				pr("  ^ REGRESSION: snapshot blobs grew past the baseline\n")
 				regressions++
 			}
 		}
@@ -252,7 +282,7 @@ func main() {
 	var (
 		bench     = flag.String("bench", "BenchmarkFrontend", "benchmark regexp to run")
 		benchtime = flag.String("benchtime", "5x", "benchtime passed to go test")
-		pkg       = flag.String("pkg", ".", "package to benchmark")
+		pkg       = flag.String("pkg", ".", "package(s) to benchmark, space-separated")
 		out       = flag.String("o", "", "output JSON file (default stdout)")
 		in        = flag.String("in", "", "parse an existing `go test -bench` log instead of running")
 		cmp       = flag.Bool("compare", false, "compare two JSON files: benchjson -compare OLD NEW")

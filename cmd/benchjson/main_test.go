@@ -232,3 +232,50 @@ PASS
 		t.Errorf("parsed %+v", r)
 	}
 }
+
+func TestCompareFilesBytesGate(t *testing.T) {
+	oldF := file(map[string]Result{"SpecKeyNamed": {AllocsPerOp: 5, BytesPerOp: 1000}})
+	for _, c := range []struct {
+		bytes float64
+		want  int
+	}{{900, 0}, {1100, 0}, {1101, 1}} {
+		newF := file(map[string]Result{"SpecKeyNamed": {AllocsPerOp: 5, BytesPerOp: c.bytes}})
+		var sb strings.Builder
+		reg, _, err := compareFiles(oldF, newF, 10, 10, &sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg != c.want {
+			t.Errorf("B/op 1000 -> %.0f: regressions = %d, want %d\n%s", c.bytes, reg, c.want, sb.String())
+		}
+	}
+}
+
+func TestCompareFilesBlobBytesGate(t *testing.T) {
+	oldF := file(map[string]Result{"SnapshotBytes/xbc_8K": {AllocsPerOp: 30, BlobBytes: 400_000}})
+	for _, c := range []struct {
+		blob float64
+		want int
+	}{{400_000, 0}, {399_999, 0}, {400_001, 1}, {0, 1}} {
+		newF := file(map[string]Result{"SnapshotBytes/xbc_8K": {AllocsPerOp: 30, BlobBytes: c.blob}})
+		var sb strings.Builder
+		reg, _, err := compareFiles(oldF, newF, 10, 10, &sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg != c.want {
+			t.Errorf("B/blob 400000 -> %.0f: regressions = %d, want %d\n%s", c.blob, reg, c.want, sb.String())
+		}
+	}
+}
+
+func TestParseBlobBytes(t *testing.T) {
+	log := "BenchmarkSnapshotBytes/xbc_8K-2   \t       3\t   2177955 ns/op\t    392825 B/blob\t 2374418 B/op\t      31 allocs/op\n"
+	got, err := parse(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got["SnapshotBytes/xbc_8K"]; r.BlobBytes != 392825 || r.BytesPerOp != 2374418 || r.AllocsPerOp != 31 {
+		t.Errorf("parsed %+v", got)
+	}
+}

@@ -181,7 +181,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		b.startIP = isa.Addr(r.U64())
 		b.uops = r.Int()
 		b.stamp = r.U64()
-		n := r.Len(10)
+		n := r.Len(3) // varint ip + numUops + class per inst
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -203,7 +203,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		t.valid = r.Bool()
 		t.startIP = isa.Addr(r.U64())
 		t.stamp = r.U64()
-		n := r.Len(8)
+		n := r.Len(1) // one varint address per block
 		if err := r.Err(); err != nil {
 			return err
 		}

@@ -248,7 +248,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		ln.startIP = isa.Addr(r.U64())
 		ln.uops = r.Int()
 		ln.stamp = r.U64()
-		n := r.Len(10) // 8-byte ip + numUops + class per element
+		n := r.Len(3) // varint ip + numUops + class per element
 		if err := r.Err(); err != nil {
 			return err
 		}

@@ -68,15 +68,27 @@ type corpusKey struct {
 	uops uint64            // requested minimum dynamic uop count
 }
 
-// corpusKeyFor derives the content key for (spec, uops). Specs are flat
-// value structs, so their deterministic JSON encoding is a sound canonical
-// form: equal specs hash equal, any differing field hashes different.
-func corpusKeyFor(spec program.Spec, uops uint64) (corpusKey, error) {
+// ProgramDigest content-addresses a generator spec: the SHA-256 of its
+// canonical encoding. Specs are flat value structs, so their
+// deterministic JSON encoding is a sound canonical form: equal specs hash
+// equal, any differing field hashes different. With a uop count it
+// addresses one generated stream (the corpus key), so any memo over a
+// stream keys by it rather than by a display name.
+func ProgramDigest(spec *program.Spec) ([sha256.Size]byte, error) {
 	b, err := json.Marshal(spec)
 	if err != nil {
-		return corpusKey{}, fmt.Errorf("experiments: canonicalizing workload spec %q: %w", spec.Name, err)
+		return [sha256.Size]byte{}, fmt.Errorf("experiments: canonicalizing workload spec %q: %w", spec.Name, err)
 	}
-	return corpusKey{spec: sha256.Sum256(b), uops: uops}, nil
+	return sha256.Sum256(b), nil
+}
+
+// corpusKeyFor derives the content key for (spec, uops).
+func corpusKeyFor(spec program.Spec, uops uint64) (corpusKey, error) {
+	sum, err := ProgramDigest(&spec)
+	if err != nil {
+		return corpusKey{}, err
+	}
+	return corpusKey{spec: sum, uops: uops}, nil
 }
 
 // corpusEntry is one cached generation. The sync.Once is the singleflight

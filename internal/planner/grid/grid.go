@@ -9,12 +9,11 @@
 package grid
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strconv"
 
+	"xbc/internal/experiments"
 	"xbc/internal/interval"
 	"xbc/internal/service/jobspec"
 	"xbc/internal/workload"
@@ -94,11 +93,10 @@ func Expand(g Grid) ([]Cell, error) {
 
 // Canonicalize normalizes and validates one spec into a plannable cell.
 func Canonicalize(spec jobspec.Spec) (Cell, error) {
-	key, err := spec.Key() // Key normalizes and validates internally
+	norm, key, err := spec.Canonical()
 	if err != nil {
 		return Cell{}, err
 	}
-	norm := spec.Normalize()
 	return Cell{Spec: spec, Norm: norm, Key: key, Locality: localityOf(norm)}, nil
 }
 
@@ -112,10 +110,9 @@ func localityOf(norm jobspec.Spec) string {
 		// locality matters, but the fallback keeps the function total.
 		return "workload:" + norm.Workload
 	}
-	b, err := json.Marshal(norm.Program)
+	sum, err := experiments.ProgramDigest(norm.Program)
 	if err != nil {
 		return "program:" + norm.Program.Name
 	}
-	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:4]) + ":" + strconv.FormatUint(norm.Uops, 10)
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"xbc/internal/experiments"
 	"xbc/internal/frontend"
 	"xbc/internal/sampling"
 	"xbc/internal/snapshot"
@@ -205,11 +206,13 @@ func recIndexAtUops(recs []trace.Rec, uops uint64) int {
 	return len(recs)
 }
 
-// analysisKey identifies one memoized stream analysis: the stream is a
-// deterministic function of (workload, uops), the analysis of the stream
-// and the interval configuration.
+// analysisKey identifies one memoized stream analysis by content: the
+// stream is a deterministic function of (resolved program, uops) — the
+// corpus key's inputs — and the analysis of the stream and the interval
+// configuration. A display name would alias: every inline program has
+// the workload name "".
 type analysisKey struct {
-	workload string
+	program  [sha256.Size]byte // experiments.ProgramDigest of the resolved program
 	uops     uint64
 	interval int
 	clusters int
@@ -232,14 +235,18 @@ const analysisCacheMax = 64
 // work but stay correct: Analyze is deterministic, so both results are
 // identical and either may win the insert.
 func analyzeCached(n Spec, recs []trace.Rec, cfg sampling.Config) (sampling.Analysis, error) {
-	key := analysisKey{workload: n.Workload, uops: n.Uops, interval: cfg.IntervalUops, clusters: cfg.MaxClusters}
+	digest, err := experiments.ProgramDigest(n.Program)
+	if err != nil {
+		return sampling.Analysis{}, err
+	}
+	key := analysisKey{program: digest, uops: n.Uops, interval: cfg.IntervalUops, clusters: cfg.MaxClusters}
 	analysisCache.Lock()
 	a, ok := analysisCache.m[key]
 	analysisCache.Unlock()
 	if ok {
 		return a, nil
 	}
-	a, err := sampling.Analyze(recs, cfg)
+	a, err = sampling.Analyze(recs, cfg)
 	if err != nil {
 		return sampling.Analysis{}, err
 	}

@@ -206,3 +206,43 @@ func TestFidelityErrorBoundHarness(t *testing.T) {
 		}
 	}
 }
+
+// resetAnalysisCache empties the process-wide analysis memo.
+func resetAnalysisCache() {
+	analysisCache.Lock()
+	defer analysisCache.Unlock()
+	clear(analysisCache.m)
+	analysisCache.order = nil
+}
+
+// The analysis memo must key by stream content, not by workload name:
+// every inline program has the name "", so a name key would hand the
+// second inline program the first one's analysis.
+func TestAnalysisMemoKeysByContent(t *testing.T) {
+	inline := func(name string) Spec {
+		w, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no workload %q", name)
+		}
+		p := w.Spec
+		return Spec{Frontend: KindXBC, Program: &p, Uops: 300_000, Fidelity: FidelitySampled}
+	}
+	gcc, quake := inline("gcc"), inline("quake")
+
+	resetAnalysisCache()
+	want, err := Execute(quake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resetAnalysisCache()
+	if _, err := Execute(gcc); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Execute(quake)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("quake after gcc differs from quake on a cleared memo:\n got %+v\nwant %+v", got.Metrics, want.Metrics)
+	}
+}

@@ -206,19 +206,29 @@ func (s Spec) validateModel() error {
 // — frontend, resolved program, length, budget, flags, core — keys
 // different.
 func (s Spec) Key() (string, error) {
+	_, key, err := s.Canonical()
+	return key, err
+}
+
+// Canonical normalizes and validates the spec and derives its content key
+// in one pass: the normalized spec is what executes, the key is Key().
+// Callers that need both (the service's submit path, the sweep grid) call
+// this once instead of normalizing again after keying.
+func (s Spec) Canonical() (Spec, string, error) {
 	n := s.Normalize()
 	if err := n.Validate(); err != nil {
-		return "", err
+		return Spec{}, "", err
 	}
 	// The resolved program is the trace identity; drop the display name so
 	// a named workload and its inline copy cannot diverge on it.
-	n.Workload = ""
-	b, err := json.Marshal(n)
+	anon := n
+	anon.Workload = ""
+	b, err := json.Marshal(anon)
 	if err != nil {
-		return "", fmt.Errorf("jobspec: canonicalizing: %w", err)
+		return Spec{}, "", fmt.Errorf("jobspec: canonicalizing: %w", err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	return n, hex.EncodeToString(sum[:]), nil
 }
 
 // Label is a short human identity for logs and metrics rows: the frontend

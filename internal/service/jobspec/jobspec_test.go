@@ -1,6 +1,7 @@
 package jobspec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -180,5 +181,36 @@ func TestParseWorkloadList(t *testing.T) {
 	}
 	if ws, err := ParseWorkloadList("  "); err != nil || ws != nil {
 		t.Fatalf("empty list: %v %v", ws, err)
+	}
+}
+
+// Canonical is Normalize + Validate + Key in one pass. Its keys are the
+// ones results are persisted under, so they are pinned: a change here
+// orphans every stored result.
+func TestCanonicalMatchesKeyAndNormalize(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		key  string
+	}{
+		{Spec{Frontend: KindXBC, Workload: "gcc"}, "ea28c01279f044ab4995d631015670b7c52ba32e9ca3cac2f56df1e745804c36"},
+		{Spec{Frontend: KindIC, Workload: "quake", Uops: 200_000, Fidelity: FidelitySampled}, "a627b7ec6a527851a8901736aa6610467cb6cb1549f7d1228f1f97f04fbab78c"},
+		{Spec{Frontend: KindTC, Workload: "loopnest", Budget: 8192}, "6a00a2d4aa520bac610b42ab168bcdb73cb669306c19c1e82675f66d75eff2f7"},
+	} {
+		n, key, err := c.spec.Canonical()
+		if err != nil {
+			t.Fatalf("%s: %v", c.spec.Label(), err)
+		}
+		if key != c.key {
+			t.Errorf("%s: key %s, want %s", c.spec.Label(), key, c.key)
+		}
+		if k, _ := c.spec.Key(); k != key {
+			t.Errorf("%s: Key() %s differs from Canonical %s", c.spec.Label(), k, key)
+		}
+		if want := c.spec.Normalize(); !reflect.DeepEqual(n, want) {
+			t.Errorf("%s: canonical spec %+v, want Normalize() %+v", c.spec.Label(), n, want)
+		}
+	}
+	if _, _, err := (Spec{Frontend: KindXBC, Workload: "nonesuch"}).Canonical(); err == nil {
+		t.Fatal("unknown workload canonicalized")
 	}
 }

@@ -213,11 +213,7 @@ func (s *Server) submitSpec(spec jobspec.Spec) (*Job, submitOutcome, error) {
 		s.reg.reject()
 		return nil, 0, ErrDraining
 	}
-	n := spec.Normalize()
-	if err := n.Validate(); err != nil {
-		return nil, 0, err
-	}
-	key, err := n.Key()
+	n, key, err := spec.Canonical()
 	if err != nil {
 		return nil, 0, err
 	}

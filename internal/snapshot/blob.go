@@ -15,8 +15,9 @@ import (
 const (
 	// Version is the snapshot format version. It must be bumped whenever
 	// any SaveState encoding in the tree changes shape, so stale persisted
-	// snapshots are rejected instead of misdecoded.
-	Version = 1
+	// snapshots are rejected instead of misdecoded. Version 2 switched the
+	// integer encoding from fixed-width to varints.
+	Version = 2
 
 	magic      = "XBSS"
 	headerSize = 4 + 4 + 4 + 4 // magic, version, payload length, CRC-32

@@ -3,11 +3,20 @@
 // specs on the same workload skip warmup entirely (the "warm-state
 // snapshot" rung of the fidelity ladder; see docs/ARCHITECTURE.md).
 //
-// The encoding is a hand-rolled little-endian binary format rather than
-// encoding/gob: the simulator state lives in unexported fields, maps must
-// serialize in sorted order for determinism, and a decoder facing bytes
-// from disk must never panic — every length is bounds-checked against the
-// remaining input before allocation.
+// The encoding is a hand-rolled binary format rather than encoding/gob:
+// the simulator state lives in unexported fields, maps must serialize in
+// sorted order for determinism, and a decoder facing bytes from disk must
+// never panic — every length is bounds-checked against the remaining
+// input before allocation.
+//
+// Integers are varints (format version 2): unsigned values as LEB128
+// uvarints, signed values zigzag-encoded first, so the small counters,
+// stamps, indices and addresses that make up most of a frontend's state
+// take one to five bytes instead of eight. Floats stay eight fixed
+// little-endian bytes, so their bits round-trip exactly. The decoder
+// accepts only the minimal encoding of each value: a truncated, overlong
+// or out-of-range varint is a decode error, so a payload decodes to at
+// most one value sequence and re-encodes to the same bytes.
 package snapshot
 
 import (
@@ -27,17 +36,17 @@ type Writer struct {
 // Bytes returns the raw encoded payload (without envelope).
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// U64 appends a uvarint.
+func (w *Writer) U64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
-// U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+// U32 appends a uvarint.
+func (w *Writer) U32(v uint32) { w.U64(uint64(v)) }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
-// I64 appends a two's-complement int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+// I64 appends a zigzag varint, so small negative values stay short.
+func (w *Writer) I64(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
 // Int appends an int as an int64.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
@@ -51,8 +60,11 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// F64 appends the IEEE-754 bits of a float64 (bit-exact round trip).
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+// F64 appends the IEEE-754 bits of a float64 as eight fixed
+// little-endian bytes (bit-exact round trip).
+func (w *Writer) F64(v float64) {
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
+}
 
 // Len appends a length prefix for a slice or map about to be written.
 func (w *Writer) Len(n int) { w.U32(uint32(n)) }
@@ -140,22 +152,36 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// U64 reads a little-endian uint64.
+// U64 reads a uvarint. A truncated varint, one that overflows 64 bits,
+// or one longer than its value's minimal encoding is a decode error.
 func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
+	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b)
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n == 0:
+		r.fail("truncated varint at offset %d of %d", r.off, len(r.buf))
+		return 0
+	case n < 0:
+		r.fail("varint overflows 64 bits at offset %d", r.off)
+		return 0
+	case n > 1 && r.buf[r.off+n-1] == 0:
+		r.fail("overlong varint at offset %d", r.off)
+		return 0
+	}
+	r.off += n
+	return v
 }
 
-// U32 reads a little-endian uint32.
+// U32 reads a uvarint and fails if it does not fit 32 bits.
 func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
+	v := r.U64()
+	if v > math.MaxUint32 {
+		r.fail("varint %d overflows uint32", v)
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b)
+	return uint32(v)
 }
 
 // U8 reads one byte.
@@ -167,8 +193,15 @@ func (r *Reader) U8() uint8 {
 	return b[0]
 }
 
-// I64 reads a two's-complement int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
+// I64 reads a zigzag varint.
+func (r *Reader) I64() int64 {
+	u := r.U64()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
 
 // Int reads an int64 and narrows it to int, failing on overflow.
 func (r *Reader) Int() int {
@@ -194,12 +227,19 @@ func (r *Reader) Bool() bool {
 	}
 }
 
-// F64 reads IEEE-754 float64 bits.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+// F64 reads eight fixed bytes of IEEE-754 float64 bits.
+func (r *Reader) F64() float64 {
+	b := r.take(8)
+	if b == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
 
-// Len reads a length prefix, bounding it by the bytes actually remaining
-// (each element needs at least elemSize bytes), so a corrupt length can
-// never drive an absurd allocation.
+// Len reads a length prefix, bounding it by the bytes actually remaining,
+// so a corrupt length can never drive an absurd allocation. elemSize is
+// the fewest bytes one element can encode to: one per varint, U8 or Bool
+// field, eight per F64.
 func (r *Reader) Len(elemSize int) int {
 	n := int(r.U32())
 	if elemSize < 1 {
@@ -224,7 +264,7 @@ func (r *Reader) LenExact(want int) {
 
 // U64s reads a length-prefixed []uint64.
 func (r *Reader) U64s() []uint64 {
-	n := r.Len(8)
+	n := r.Len(1)
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -279,7 +319,7 @@ func (r *Reader) BoolsInto(dst []bool) {
 // StringMapF64 reads a map written by Writer.StringMapF64. Returns nil
 // for an empty map, matching the simulator's lazily-allocated maps.
 func (r *Reader) StringMapF64() map[string]float64 {
-	n := r.Len(5) // 4-byte key length + at least 1 byte key, 8-byte value
+	n := r.Len(9) // 1-byte key length (empty key) + 8-byte value
 	if r.err != nil || n == 0 {
 		return nil
 	}

@@ -87,3 +87,34 @@ func FuzzReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVarintCanonical drives the varint decoder with arbitrary bytes: it
+// must never panic, and every value it accepts must re-encode to exactly
+// the bytes it consumed — the decoder accepts only minimal encodings, so
+// one payload means one value sequence.
+func FuzzVarintCanonical(f *testing.F) {
+	var w Writer
+	w.U64(0)
+	w.U64(300)
+	w.I64(-70000)
+	w.U64(1<<64 - 1)
+	f.Add(w.Bytes())
+	f.Add([]byte{0x80, 0x00})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		r := NewReader(payload)
+		var again Writer
+		for r.Remaining() > 0 {
+			v := r.U64()
+			if r.Err() != nil {
+				break
+			}
+			again.U64(v)
+		}
+		consumed := payload[:len(payload)-r.Remaining()]
+		if !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted %x but re-encodes to %x", consumed, again.Bytes())
+		}
+	})
+}

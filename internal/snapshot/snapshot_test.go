@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -200,5 +201,95 @@ func TestManagerNilBacking(t *testing.T) {
 	}
 	if _, ok := m.Load("missing"); ok {
 		t.Fatal("phantom hit")
+	}
+}
+
+func TestVarintExtremesRoundTrip(t *testing.T) {
+	u64s := []uint64{0, 1, 127, 128, 1<<32 - 1, 1 << 32, math.MaxUint64}
+	i64s := []int64{0, -1, 1, -64, 64, math.MinInt64, math.MaxInt64}
+	var w Writer
+	for _, v := range u64s {
+		w.U64(v)
+	}
+	for _, v := range i64s {
+		w.I64(v)
+	}
+	w.U32(math.MaxUint32)
+	w.F64(math.Inf(-1))
+	w.F64(math.Float64frombits(0x7ff8000000000001)) // a NaN payload must survive
+	r := NewReader(w.Bytes())
+	for _, v := range u64s {
+		if got := r.U64(); got != v {
+			t.Fatalf("U64 %d read back as %d", v, got)
+		}
+	}
+	for _, v := range i64s {
+		if got := r.I64(); got != v {
+			t.Fatalf("I64 %d read back as %d", v, got)
+		}
+	}
+	if got := r.U32(); got != math.MaxUint32 {
+		t.Fatalf("U32 max read back as %d", got)
+	}
+	if got := r.F64(); !math.IsInf(got, -1) {
+		t.Fatalf("F64 -Inf read back as %v", got)
+	}
+	if got := math.Float64bits(r.F64()); got != 0x7ff8000000000001 {
+		t.Fatalf("NaN bits read back as %#x", got)
+	}
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+}
+
+// Small values — the bulk of frontend state — must take one byte; floats
+// stay eight fixed bytes.
+func TestVarintSizes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		write func(*Writer)
+		want  int
+	}{
+		{"U64(0)", func(w *Writer) { w.U64(0) }, 1},
+		{"U64(127)", func(w *Writer) { w.U64(127) }, 1},
+		{"U64(128)", func(w *Writer) { w.U64(128) }, 2},
+		{"U64(max)", func(w *Writer) { w.U64(math.MaxUint64) }, 10},
+		{"U32(5)", func(w *Writer) { w.U32(5) }, 1},
+		{"Int(-1)", func(w *Writer) { w.Int(-1) }, 1},
+		{"I64(min)", func(w *Writer) { w.I64(math.MinInt64) }, 10},
+		{"Len(3)", func(w *Writer) { w.Len(3) }, 1},
+		{"F64(0)", func(w *Writer) { w.F64(0) }, 8},
+	} {
+		var w Writer
+		c.write(&w)
+		if got := len(w.Bytes()); got != c.want {
+			t.Errorf("%s encodes to %d bytes, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+func TestReaderRejectsBadVarints(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		read    func(*Reader)
+		want    string
+	}{
+		{"truncated", []byte{0x80}, func(r *Reader) { r.U64() }, "truncated"},
+		{"truncated mid-value", []byte{0xff, 0xff, 0xff}, func(r *Reader) { r.U64() }, "truncated"},
+		{"empty", nil, func(r *Reader) { r.I64() }, "truncated"},
+		{"overflows 64 bits", append(bytes.Repeat([]byte{0xff}, 9), 0x02), func(r *Reader) { r.U64() }, "overflows 64 bits"},
+		{"eleven bytes", append(bytes.Repeat([]byte{0x80}, 10), 0x00), func(r *Reader) { r.U64() }, "overflows 64 bits"},
+		{"overlong zero", []byte{0x80, 0x00}, func(r *Reader) { r.U64() }, "overlong"},
+		{"overlong one", []byte{0x81, 0x80, 0x00}, func(r *Reader) { r.Int() }, "overlong"},
+		{"U32 overflow", []byte{0x80, 0x80, 0x80, 0x80, 0x10}, func(r *Reader) { r.U32() }, "overflows uint32"},
+		{"length overflow", []byte{0x80, 0x80, 0x80, 0x80, 0x10}, func(r *Reader) { r.U64s() }, "overflows uint32"},
+		{"short float", []byte{1, 2, 3}, func(r *Reader) { r.F64() }, "truncated"},
+	} {
+		r := NewReader(c.payload)
+		c.read(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
 	}
 }

@@ -155,7 +155,7 @@ func (s *session) LoadState(r *snapshot.Reader) error {
 		s.rf.startIP = isa.Addr(r.U64())
 		s.rf.uops = r.Int()
 		s.rf.branches = r.Int()
-		n := r.Len(11)
+		n := r.Len(4) // varint ip + numUops + class + taken per inst
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -227,7 +227,7 @@ func (c *Cache) LoadState(r *snapshot.Reader) error {
 		ln.nbr = r.U8()
 		ln.uops = r.Int()
 		ln.stamp = r.U64()
-		n := r.Len(11)
+		n := r.Len(4) // varint ip + numUops + class + taken per inst
 		if err := r.Err(); err != nil {
 			return err
 		}

@@ -1,11 +1,17 @@
 package workload
 
-import "xbc/internal/program"
+import (
+	"slices"
+	"sync"
 
-// Micro returns small corner-case workloads that stress one frontend
-// mechanism each — useful for unit-style experiments, debugging, and
-// teaching. They are not part of the paper's 21-trace evaluation set.
-func Micro() []Workload {
+	"xbc/internal/program"
+)
+
+// microTable is the micro-workload table, built once like paperTable.
+var microTable = sync.OnceValue(buildMicro)
+
+// buildMicro constructs the micro workloads.
+func buildMicro() []Workload {
 	return []Workload{
 		{Name: "straightline", Suite: SPECint, Spec: straightlineSpec()},
 		{Name: "loopnest", Suite: SPECint, Spec: loopnestSpec()},
@@ -15,15 +21,14 @@ func Micro() []Workload {
 	}
 }
 
+// Micro returns small corner-case workloads that stress one frontend
+// mechanism each — useful for unit-style experiments, debugging, and
+// teaching. They are not part of the paper's 21-trace evaluation set.
+// The result is a fresh copy of the shared table.
+func Micro() []Workload { return slices.Clone(microTable()) }
+
 // MicroByName returns the named micro workload.
-func MicroByName(name string) (Workload, bool) {
-	for _, w := range Micro() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
-}
+func MicroByName(name string) (Workload, bool) { return lookup(microTable(), name) }
 
 // straightlineSpec: long blocks, almost no taken control flow — exercises
 // quota cuts and the Seq pointer chain.

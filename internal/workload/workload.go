@@ -13,6 +13,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"xbc/internal/program"
 )
@@ -51,11 +53,15 @@ var specNames = []string{"go", "m88ksim", "gcc", "compress", "li", "ijpeg", "per
 var sysNames = []string{"word", "excel", "powerpnt", "corel", "pagemkr", "paradox", "freelnc", "quattro"}
 var gameNames = []string{"quake", "doom", "hexen", "duke3d", "descent"}
 
-// All returns the 21 workloads in suite order (8 SPECint, 8 SYSmark, 5
-// Games). The result is freshly built on each call; specs are value types
-// so callers may tweak them freely.
-func All() []Workload {
-	var out []Workload
+// paperTable is the 21-workload table, built on first use and shared
+// read-only afterwards. Building it is not free — every jitter draw seeds
+// a fresh math/rand source, 63 of them per build — and every named job
+// resolves its name through here, so the table is built once per process.
+var paperTable = sync.OnceValue(buildAll)
+
+// buildAll constructs the 21 workloads in suite order.
+func buildAll() []Workload {
+	out := make([]Workload, 0, len(specNames)+len(sysNames)+len(gameNames))
 	for i, n := range specNames {
 		out = append(out, Workload{Name: n, Suite: SPECint, Spec: specintSpec(n, i)})
 	}
@@ -68,10 +74,15 @@ func All() []Workload {
 	return out
 }
 
+// All returns the 21 workloads in suite order (8 SPECint, 8 SYSmark, 5
+// Games). The result is a fresh copy of the shared table; specs are value
+// types, so callers may tweak them freely without affecting later calls.
+func All() []Workload { return slices.Clone(paperTable()) }
+
 // BySuite returns the workloads of one suite.
 func BySuite(s Suite) []Workload {
 	var out []Workload
-	for _, w := range All() {
+	for _, w := range paperTable() {
 		if w.Suite == s {
 			out = append(out, w)
 		}
@@ -79,9 +90,14 @@ func BySuite(s Suite) []Workload {
 	return out
 }
 
-// ByName returns the named workload, or false when unknown.
-func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
+// ByName returns the named workload, or false when unknown. The lookup
+// reads the shared table without rebuilding it; the returned value is a
+// copy.
+func ByName(name string) (Workload, bool) { return lookup(paperTable(), name) }
+
+// lookup finds name in a workload table.
+func lookup(ws []Workload, name string) (Workload, bool) {
+	for _, w := range ws {
 		if w.Name == name {
 			return w, true
 		}
@@ -91,9 +107,10 @@ func ByName(name string) (Workload, bool) {
 
 // Names returns all 21 workload names in order.
 func Names() []string {
-	var out []string
-	for _, w := range All() {
-		out = append(out, w.Name)
+	t := paperTable()
+	out := make([]string, len(t))
+	for i, w := range t {
+		out[i] = w.Name
 	}
 	return out
 }

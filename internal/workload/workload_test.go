@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"xbc/internal/isa"
@@ -186,4 +187,88 @@ func TestMicroWorkloadCharacters(t *testing.T) {
 	if sum := get("switchheavy"); sum.ClassMix(isa.IndirectJump) < 0.02 {
 		t.Errorf("switchheavy ijmp mix %.3f too low", sum.ClassMix(isa.IndirectJump))
 	}
+}
+
+// The table is built once and shared; what callers get back must be
+// theirs to mutate without reaching the table.
+func TestTableCopiesAreIsolated(t *testing.T) {
+	gcc, _ := ByName("gcc")
+	loop, _ := MicroByName("loopnest")
+
+	all := All()
+	all[0].Name = "clobbered"
+	all[2].Spec.Functions = -1
+	micro := Micro()
+	micro[1].Spec.LoopFrac = 99
+	w, _ := ByName("gcc")
+	w.Spec.Seed = 7
+	w.Spec.UopWeights[0] = 0
+	m, _ := MicroByName("loopnest")
+	m.Spec.Interleave = 1000
+
+	if got, _ := ByName("gcc"); got != gcc {
+		t.Fatalf("ByName(gcc) changed after caller mutation: %+v", got)
+	}
+	if got, _ := MicroByName("loopnest"); got != loop {
+		t.Fatalf("MicroByName(loopnest) changed after caller mutation: %+v", got)
+	}
+	if n := Names(); n[0] != "go" || len(n) != 21 {
+		t.Fatalf("Names changed after caller mutation: %v", n)
+	}
+	if fresh := All(); fresh[2] != gcc {
+		t.Fatalf("All()[2] = %+v, want gcc", fresh[2])
+	}
+}
+
+// The shared table must be exactly what a fresh build produces, field for
+// field, so building once changes no spec (and so no golden metric).
+func TestTableEqualsFreshBuild(t *testing.T) {
+	fresh := buildAll()
+	all := All()
+	if len(all) != len(fresh) {
+		t.Fatalf("table has %d workloads, fresh build %d", len(all), len(fresh))
+	}
+	for i := range fresh {
+		if all[i] != fresh[i] {
+			t.Errorf("workload %d: table %+v, fresh %+v", i, all[i], fresh[i])
+		}
+		if w, ok := ByName(fresh[i].Name); !ok || w != fresh[i] {
+			t.Errorf("ByName(%s) = %+v, %v; fresh %+v", fresh[i].Name, w, ok, fresh[i])
+		}
+	}
+	freshMicro := buildMicro()
+	micro := Micro()
+	if len(micro) != len(freshMicro) {
+		t.Fatalf("micro table has %d workloads, want %d", len(micro), len(freshMicro))
+	}
+	for i := range freshMicro {
+		if micro[i] != freshMicro[i] {
+			t.Errorf("micro %d: table %+v, fresh %+v", i, micro[i], freshMicro[i])
+		}
+	}
+}
+
+// Concurrent first use and lookups share one build; run under -race.
+func TestConcurrentLookups(t *testing.T) {
+	names := append(Names(), "straightline", "monotone", "nonesuch")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				name := names[(g+i)%len(names)]
+				w, ok := ByName(name)
+				if !ok {
+					w, ok = MicroByName(name)
+				}
+				if ok && w.Name != name {
+					t.Errorf("lookup %q returned %q", name, w.Name)
+					return
+				}
+				w.Spec.Functions++ // a private copy: must not race with other readers
+			}
+		}(g)
+	}
+	wg.Wait()
 }

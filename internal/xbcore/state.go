@@ -108,7 +108,7 @@ func (c *Cache) LoadState(r *snapshot.Reader) error {
 	for i := range c.lineUops {
 		c.lineUops[i] = isa.UopID(r.U64())
 	}
-	ne := r.Len(20)
+	ne := r.Len(4) // four varints per entry
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -121,7 +121,7 @@ func (c *Cache) LoadState(r *snapshot.Reader) error {
 			nextID: r.U32(),
 		})
 	}
-	nv := r.Len(24)
+	nv := r.Len(6) // six varints per variant
 	if err := r.Err(); err != nil {
 		return err
 	}
